@@ -6,7 +6,10 @@
 //!
 //! These are the building-block costs behind every FRaZ search (each search
 //! iteration is one compression), so regressions here inflate every figure's
-//! runtime.  `FRAZ_BENCH_SMOKE=1` drops to one timed sample per benchmark;
+//! runtime.  A fixed-PSNR search also decompresses and measures quality at
+//! every iteration, on store-sized chunks, so the `*/szx_chunk` rows and the
+//! `quality` group time those three steps the way a chunked PSNR archive
+//! runs them: the field cut into 8×24×24 chunks, one call per chunk.  `FRAZ_BENCH_SMOKE=1` drops to one timed sample per benchmark;
 //! CI combines it with `FRAZ_BENCH_RECORD_DIR` to guard the committed
 //! `baselines/codec_throughput.jsonl` rows against large regressions.
 
@@ -14,8 +17,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use fraz_bench::scale::Scale;
 use fraz_bench::workloads;
+use fraz_data::{Dataset, Dims};
 use fraz_lossless::bitio::{BitReader, BitWriter};
 use fraz_lossless::huffman;
+use fraz_metrics::QualityReport;
 use fraz_pressio::registry;
 
 /// One timed sample per point under `FRAZ_BENCH_SMOKE=1` (CI bitrot +
@@ -61,10 +66,40 @@ fn bitio_fields() -> Vec<(u64, u32)> {
         .collect()
 }
 
+/// The field cut into `edge`-sized chunks (C order, edge dividing each
+/// axis), each its own dataset as a chunked store writes it.
+fn chunks(dataset: &Dataset, edge: [usize; 3]) -> Vec<Dataset> {
+    let d = dataset.dims.as_slice();
+    let values = dataset.buffer.to_f32_vec();
+    let mut out = Vec::new();
+    for z0 in (0..d[0]).step_by(edge[0]) {
+        for y0 in (0..d[1]).step_by(edge[1]) {
+            for x0 in (0..d[2]).step_by(edge[2]) {
+                let mut chunk = Vec::with_capacity(edge.iter().product());
+                for z in z0..z0 + edge[0] {
+                    for y in y0..y0 + edge[1] {
+                        let row = (z * d[1] + y) * d[2] + x0;
+                        chunk.extend_from_slice(&values[row..row + edge[2]]);
+                    }
+                }
+                let dims = Dims::d3(edge[0], edge[1], edge[2]);
+                out.push(Dataset::from_f32("hurricane", "TCf", 0, dims, chunk));
+            }
+        }
+    }
+    out
+}
+
 fn codec_benchmarks(c: &mut Criterion) {
     let app = workloads::hurricane(Scale::Quick);
     let dataset = app.field("TCf", 0);
     let bound = dataset.stats().value_range() * 1e-3;
+    let szx = registry::build_default("szx").unwrap();
+    let field_chunks = chunks(&dataset, [8, 24, 24]);
+    let chunk_blobs: Vec<Vec<u8>> = field_chunks
+        .iter()
+        .map(|chunk| szx.compress(chunk, bound).unwrap())
+        .collect();
 
     let mut group = c.benchmark_group("compress");
     group.throughput(Throughput::Bytes(dataset.byte_size() as u64));
@@ -75,6 +110,14 @@ fn codec_benchmarks(c: &mut Criterion) {
             b.iter(|| backend.compress(d, bound).unwrap());
         });
     }
+    group.bench_function("szx_chunk", |b| {
+        b.iter(|| {
+            field_chunks
+                .iter()
+                .map(|chunk| szx.compress(chunk, bound).unwrap().len())
+                .sum::<usize>()
+        });
+    });
     group.finish();
 
     let mut group = c.benchmark_group("decompress");
@@ -87,6 +130,40 @@ fn codec_benchmarks(c: &mut Criterion) {
             b.iter(|| backend.decompress(data).unwrap());
         });
     }
+    group.bench_function("szx_chunk", |b| {
+        b.iter(|| {
+            chunk_blobs
+                .iter()
+                .map(|blob| szx.decompress(blob).unwrap().len())
+                .sum::<usize>()
+        });
+    });
+    group.finish();
+
+    // The quality pass of a fixed-PSNR evaluation, chunk by chunk and on
+    // the whole field, against the szx reconstruction at the same bound.
+    let mut group = c.benchmark_group("quality");
+    group.throughput(Throughput::Bytes(dataset.byte_size() as u64));
+    group.sample_size(sample_size());
+    let restored_chunks: Vec<Dataset> = chunk_blobs
+        .iter()
+        .map(|blob| szx.decompress(blob).unwrap())
+        .collect();
+    group.bench_function("chunk_8x24x24", |b| {
+        b.iter(|| {
+            field_chunks
+                .iter()
+                .zip(&restored_chunks)
+                .map(|(chunk, restored)| QualityReport::evaluate(chunk, restored, 1).psnr)
+                .sum::<f64>()
+        });
+    });
+    let restored = szx
+        .decompress(&szx.compress(&dataset, bound).unwrap())
+        .unwrap();
+    group.bench_function("field_16x48x48", |b| {
+        b.iter(|| QualityReport::evaluate(&dataset, &restored, 1));
+    });
     group.finish();
 
     // The dictionary stage on its own (SZ's stage 4 substrate).

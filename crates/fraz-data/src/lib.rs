@@ -125,9 +125,13 @@ impl Dataset {
         self.buffer.to_f64_vec()
     }
 
-    /// Summary statistics over the field.
+    /// Summary statistics over the field, read at the stored width
+    /// (bit-identical to [`FieldStats::compute`] over [`Self::values_f64`]).
     pub fn stats(&self) -> FieldStats {
-        FieldStats::compute(&self.buffer.to_f64_vec())
+        match &self.buffer {
+            DataBuffer::F32(v) => FieldStats::of(v),
+            DataBuffer::F64(v) => FieldStats::of(v),
+        }
     }
 
     /// Extract a 2-D slice (the last two dimensions) at the given index of
@@ -185,6 +189,11 @@ pub struct FieldStats {
 impl FieldStats {
     /// Compute statistics over a slice; an empty slice yields all zeros.
     pub fn compute(values: &[f64]) -> Self {
+        Self::of(values)
+    }
+
+    /// [`Self::compute`] over values widened one at a time.
+    fn of<T: Copy + Into<f64>>(values: &[T]) -> Self {
         if values.is_empty() {
             return Self {
                 min: 0.0,
@@ -197,13 +206,17 @@ impl FieldStats {
         let mut max = f64::NEG_INFINITY;
         let mut sum = 0.0;
         for &v in values {
+            let v = v.into();
             min = min.min(v);
             max = max.max(v);
             sum += v;
         }
         let mean = sum / values.len() as f64;
-        let var =
-            values.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
+        let var = values
+            .iter()
+            .map(|&v| (v.into() - mean) * (v.into() - mean))
+            .sum::<f64>()
+            / values.len() as f64;
         Self {
             min,
             max,
@@ -257,6 +270,27 @@ mod tests {
         let s = FieldStats::compute(&[]);
         assert_eq!(s.min, 0.0);
         assert_eq!(s.value_range(), 0.0);
+    }
+
+    #[test]
+    fn stats_match_the_widened_copy_bit_for_bit() {
+        let wave: Vec<f32> = (0..999)
+            .map(|i| (i as f32 * 0.37).sin() * 3e4 + 0.1)
+            .collect();
+        let d = Dataset::from_f32("a", "b", 0, Dims::d1(wave.len()), wave);
+        let special = vec![0.0, -0.0, f64::NAN, 1e300, -2.5, f64::INFINITY, 7.0];
+        let e = Dataset::from_f64("a", "b", 0, Dims::d1(special.len()), special);
+        for dataset in [d, e] {
+            let (fast, copy) = (dataset.stats(), FieldStats::compute(&dataset.values_f64()));
+            for (a, b) in [
+                (fast.min, copy.min),
+                (fast.max, copy.max),
+                (fast.mean, copy.mean),
+                (fast.std_dev, copy.std_dev),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

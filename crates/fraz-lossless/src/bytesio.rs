@@ -76,6 +76,14 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Append `n` zero bytes and return them for filling in place (a
+    /// section whose exact size is known before its contents).
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// Append a length-prefixed (u32) byte section.
     pub fn put_section(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);

@@ -1,5 +1,7 @@
 //! Pointwise error statistics: max error, MSE, RMSE and PSNR.
 
+use crate::Sample;
+
 /// Error statistics between an original and a reconstructed field.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
@@ -25,8 +27,127 @@ impl ErrorStats {
     /// Panics if the slices have different lengths.
     pub fn compute(original: &[f64], reconstructed: &[f64]) -> Self {
         assert_eq!(original.len(), reconstructed.len());
-        if original.is_empty() {
-            return Self {
+        ErrorPass::scan(original, reconstructed).stats(original.len())
+    }
+}
+
+/// Everything one pass over `(original, reconstructed)` yields: the inputs
+/// of [`ErrorStats`] plus the error sum the ACF mean needs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ErrorPass {
+    pub max_abs_error: f64,
+    pub sq_sum: f64,
+    pub dmin: f64,
+    pub dmax: f64,
+    /// `Σ (a_i − b_i)` in index order, from the neutral element `Sum` uses
+    /// (so it equals `errors.iter().sum::<f64>()` bit for bit).
+    pub err_sum: f64,
+}
+
+impl ErrorPass {
+    /// One pass over both buffers at their stored width.
+    ///
+    /// The two sums run in index order exactly as a sequential loop would;
+    /// min and max use compare-select (`if x < min`), which skips NaN the
+    /// same way `f64::min`/`f64::max` do.  The only difference from those
+    /// is the sign chosen between `0.0` and `-0.0`, which no reported
+    /// quantity can observe (see the crate docs).
+    pub fn scan<A: Sample, B: Sample>(original: &[A], reconstructed: &[B]) -> Self {
+        debug_assert_eq!(original.len(), reconstructed.len());
+        #[cfg(target_arch = "x86_64")]
+        return Self::scan_sse2(original, reconstructed);
+        #[cfg(not(target_arch = "x86_64"))]
+        return Self::scan_scalar(original, reconstructed);
+    }
+
+    fn new() -> Self {
+        Self {
+            max_abs_error: 0.0,
+            sq_sum: 0.0,
+            dmin: f64::INFINITY,
+            dmax: f64::NEG_INFINITY,
+            err_sum: std::iter::empty::<f64>().sum(),
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, a: f64, b: f64) {
+        let diff = a - b;
+        self.note_extremes(diff.abs(), a, a);
+        self.sq_sum += diff * diff;
+        self.err_sum += diff;
+    }
+
+    /// Compare-select max error, min and max.
+    #[inline(always)]
+    fn note_extremes(&mut self, abs: f64, lo: f64, hi: f64) {
+        if abs > self.max_abs_error {
+            self.max_abs_error = abs;
+        }
+        if lo < self.dmin {
+            self.dmin = lo;
+        }
+        if hi > self.dmax {
+            self.dmax = hi;
+        }
+    }
+
+    /// The portable form of [`Self::scan`].
+    #[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+    pub fn scan_scalar<A: Sample, B: Sample>(original: &[A], reconstructed: &[B]) -> Self {
+        let mut pass = Self::new();
+        for (&a, &b) in original.iter().zip(reconstructed) {
+            pass.step(a.widen(), b.widen());
+        }
+        pass
+    }
+
+    /// [`Self::scan`] two values at a time: one SSE2 register per pair
+    /// carries the widening, the difference and two lanes of each
+    /// extreme, while the sums still take each value in index order.
+    /// `MAXPD`/`MINPD` return their second operand unless the first
+    /// compares greater (less), which is `if x > max { max = x }` per lane.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unused_unsafe)] // SSE2 arithmetic became safe to call in Rust 1.87
+    fn scan_sse2<A: Sample, B: Sample>(original: &[A], reconstructed: &[B]) -> Self {
+        use std::arch::x86_64::*;
+        let mut pass = Self::new();
+        let pairs_a = original.chunks_exact(2);
+        let pairs_b = reconstructed.chunks_exact(2);
+        let (tail_a, tail_b) = (pairs_a.remainder(), pairs_b.remainder());
+        // SAFETY: SSE2 is part of the x86-64 baseline, and these intrinsics
+        // only compute on registers.
+        unsafe {
+            let sign = _mm_set1_pd(-0.0);
+            let mut max_abs = _mm_setzero_pd();
+            let mut lo = _mm_set1_pd(f64::INFINITY);
+            let mut hi = _mm_set1_pd(f64::NEG_INFINITY);
+            for (pa, pb) in pairs_a.zip(pairs_b) {
+                let x = A::widen2(pa);
+                let diff = _mm_sub_pd(x, B::widen2(pb));
+                max_abs = _mm_max_pd(_mm_andnot_pd(sign, diff), max_abs);
+                lo = _mm_min_pd(x, lo);
+                hi = _mm_max_pd(x, hi);
+                let sq = _mm_mul_pd(diff, diff);
+                pass.sq_sum += _mm_cvtsd_f64(sq);
+                pass.sq_sum += _mm_cvtsd_f64(_mm_unpackhi_pd(sq, sq));
+                pass.err_sum += _mm_cvtsd_f64(diff);
+                pass.err_sum += _mm_cvtsd_f64(_mm_unpackhi_pd(diff, diff));
+            }
+            let high = |v: __m128d| _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
+            pass.note_extremes(_mm_cvtsd_f64(max_abs), _mm_cvtsd_f64(lo), _mm_cvtsd_f64(hi));
+            pass.note_extremes(high(max_abs), high(lo), high(hi));
+        }
+        for (&a, &b) in tail_a.iter().zip(tail_b) {
+            pass.step(a.widen(), b.widen());
+        }
+        pass
+    }
+
+    /// The statistics of a pass over `n` points.
+    pub fn stats(&self, n: usize) -> ErrorStats {
+        if n == 0 {
+            return ErrorStats {
                 max_abs_error: 0.0,
                 mse: 0.0,
                 rmse: 0.0,
@@ -34,26 +155,14 @@ impl ErrorStats {
                 value_range: 0.0,
             };
         }
-        let mut max_abs_error = 0.0f64;
-        let mut sq_sum = 0.0f64;
-        let mut dmin = f64::INFINITY;
-        let mut dmax = f64::NEG_INFINITY;
-        for (&a, &b) in original.iter().zip(reconstructed.iter()) {
-            let diff = a - b;
-            max_abs_error = max_abs_error.max(diff.abs());
-            sq_sum += diff * diff;
-            dmin = dmin.min(a);
-            dmax = dmax.max(a);
-        }
-        let mse = sq_sum / original.len() as f64;
+        let mse = self.sq_sum / n as f64;
         let rmse = mse.sqrt();
-        let value_range = dmax - dmin;
-        let psnr = psnr_from_rmse(value_range, rmse);
-        Self {
-            max_abs_error,
+        let value_range = self.dmax - self.dmin;
+        ErrorStats {
+            max_abs_error: self.max_abs_error,
             mse,
             rmse,
-            psnr,
+            psnr: psnr_from_rmse(value_range, rmse),
             value_range,
         }
     }

@@ -7,6 +7,8 @@
 //! mean over all windows is reported.  Scientific data is not 8-bit imagery,
 //! so the dynamic range `L` is taken from the original slice's value range.
 
+use crate::Sample;
+
 /// Configuration of the SSIM computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsimConfig {
@@ -40,6 +42,25 @@ impl Default for SsimConfig {
 /// # Panics
 /// Panics if the slice lengths do not match `rows * cols`.
 pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize, config: &SsimConfig) -> f64 {
+    mean_ssim_of(a, b, rows, cols, config)
+}
+
+/// Windows computed side by side: their sums are independent chains, so
+/// interleaving them hides the add latency that one window alone is bound
+/// by.
+const GROUP: usize = 4;
+
+/// [`mean_ssim`] over slices at their stored width.  Each window's sums run
+/// in the same row-major order as a window on its own, and the window
+/// scores are added in scan order, so the result does not depend on how
+/// windows are grouped.
+pub(crate) fn mean_ssim_of<A: Sample, B: Sample>(
+    a: &[A],
+    b: &[B],
+    rows: usize,
+    cols: usize,
+    config: &SsimConfig,
+) -> f64 {
     assert_eq!(a.len(), rows * cols, "slice A shape mismatch");
     assert_eq!(b.len(), rows * cols, "slice B shape mismatch");
     if a.is_empty() {
@@ -47,12 +68,7 @@ pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize, config: &SsimCo
     }
 
     // Dynamic range from the original slice.
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in a {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+    let (lo, hi) = value_bounds(a);
     // A constant slice has zero range; fall back to its magnitude (or 1) so
     // the stabilization constants stay non-zero and identical inputs still
     // score exactly 1.
@@ -66,72 +82,124 @@ pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize, config: &SsimCo
     let window_r = config.window.min(rows).max(1);
     let window_c = config.window.min(cols).max(1);
     let stride = config.stride.max(1);
+    // Window origins along one axis: every `stride`, the last one clamped
+    // so the window ends on the edge.
+    let last_c = cols - window_c;
+    let col_windows = last_c.div_ceil(stride) + 1;
+    let col_start = |k: usize| (k * stride).min(last_c);
+    let last_r = rows - window_r;
+    let row_windows = last_r.div_ceil(stride) + 1;
 
+    let shape = Window {
+        cols,
+        rows: window_r,
+        width: window_c,
+        c1,
+        c2,
+    };
     let mut total = 0.0;
-    let mut count = 0usize;
-    let mut r = 0;
-    loop {
-        let r0 = r.min(rows.saturating_sub(window_r));
-        let mut c = 0;
-        loop {
-            let c0 = c.min(cols.saturating_sub(window_c));
-            total += window_ssim(a, b, cols, r0, c0, window_r, window_c, c1, c2);
-            count += 1;
-            if c0 + window_c >= cols {
-                break;
+    for kr in 0..row_windows {
+        let r0 = (kr * stride).min(last_r);
+        let mut kc = 0;
+        while kc + GROUP <= col_windows {
+            let c0: [usize; GROUP] = std::array::from_fn(|j| col_start(kc + j));
+            for score in shape.scores(a, b, r0, c0) {
+                total += score;
             }
-            c += stride;
+            kc += GROUP;
         }
-        if r0 + window_r >= rows {
-            break;
+        for kc in kc..col_windows {
+            total += shape.scores(a, b, r0, [col_start(kc)])[0];
         }
-        r += stride;
     }
-    total / count as f64
+    total / (row_windows * col_windows) as f64
 }
 
-#[allow(clippy::too_many_arguments)]
-fn window_ssim(
-    a: &[f64],
-    b: &[f64],
+/// `(min, max)` of `values` by compare-select, which skips NaN like
+/// `f64::min`/`f64::max` (see the crate docs for the one difference).
+fn value_bounds<A: Sample>(values: &[A]) -> (f64, f64) {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &v in values {
+        let v = v.widen();
+        if v < lo {
+            lo = v;
+        }
+        if v > hi {
+            hi = v;
+        }
+    }
+    (lo, hi)
+}
+
+/// The geometry and constants shared by every window of one slice.
+struct Window {
     cols: usize,
-    r0: usize,
-    c0: usize,
-    window_r: usize,
-    window_c: usize,
+    rows: usize,
+    width: usize,
     c1: f64,
     c2: f64,
-) -> f64 {
-    let n = (window_r * window_c) as f64;
-    let mut mean_a = 0.0;
-    let mut mean_b = 0.0;
-    for r in r0..r0 + window_r {
-        for c in c0..c0 + window_c {
-            mean_a += a[r * cols + c];
-            mean_b += b[r * cols + c];
-        }
-    }
-    mean_a /= n;
-    mean_b /= n;
+}
 
-    let mut var_a = 0.0;
-    let mut var_b = 0.0;
-    let mut cov = 0.0;
-    for r in r0..r0 + window_r {
-        for c in c0..c0 + window_c {
-            let da = a[r * cols + c] - mean_a;
-            let db = b[r * cols + c] - mean_b;
-            var_a += da * da;
-            var_b += db * db;
-            cov += da * db;
-        }
-    }
-    var_a /= n;
-    var_b /= n;
-    cov /= n;
+impl Window {
+    /// SSIM of the `K` windows with top-left corners `(r0, c0[k])`.
+    #[inline(always)]
+    fn scores<const K: usize, A: Sample, B: Sample>(
+        &self,
+        a: &[A],
+        b: &[B],
+        r0: usize,
+        c0: [usize; K],
+    ) -> [f64; K] {
+        let n = (self.rows * self.width) as f64;
+        let rows = || {
+            (r0..r0 + self.rows).map(move |r| {
+                let at = |k: usize| r * self.cols + c0[k];
+                (
+                    std::array::from_fn::<_, K, _>(|k| &a[at(k)..at(k) + self.width]),
+                    std::array::from_fn::<_, K, _>(|k| &b[at(k)..at(k) + self.width]),
+                )
+            })
+        };
 
-    ((2.0 * mean_a * mean_b + c1) * (2.0 * cov + c2))
-        / ((mean_a * mean_a + mean_b * mean_b + c1) * (var_a + var_b + c2))
+        let mut mean_a = [0.0f64; K];
+        let mut mean_b = [0.0f64; K];
+        for (ra, rb) in rows() {
+            for c in 0..self.width {
+                for k in 0..K {
+                    mean_a[k] += ra[k][c].widen();
+                    mean_b[k] += rb[k][c].widen();
+                }
+            }
+        }
+        for k in 0..K {
+            mean_a[k] /= n;
+            mean_b[k] /= n;
+        }
+
+        let mut var_a = [0.0f64; K];
+        let mut var_b = [0.0f64; K];
+        let mut cov = [0.0f64; K];
+        for (ra, rb) in rows() {
+            for c in 0..self.width {
+                for k in 0..K {
+                    let da = ra[k][c].widen() - mean_a[k];
+                    let db = rb[k][c].widen() - mean_b[k];
+                    var_a[k] += da * da;
+                    var_b[k] += db * db;
+                    cov[k] += da * db;
+                }
+            }
+        }
+
+        std::array::from_fn(|k| {
+            let (mean_a, mean_b) = (mean_a[k], mean_b[k]);
+            let var_a = var_a[k] / n;
+            let var_b = var_b[k] / n;
+            let cov = cov[k] / n;
+            ((2.0 * mean_a * mean_b + self.c1) * (2.0 * cov + self.c2))
+                / ((mean_a * mean_a + mean_b * mean_b + self.c1) * (var_a + var_b + self.c2))
+        })
+    }
 }
 
 #[cfg(test)]

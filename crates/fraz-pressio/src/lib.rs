@@ -115,6 +115,13 @@ pub trait Compressor: Send + Sync {
 
     /// Compress and report the achieved ratio; when `measure_quality` is
     /// true, also decompress and attach the full [`QualityReport`].
+    ///
+    /// Backends must not override this: it is the one definition of an
+    /// evaluation (compress, then decompress and [`QualityReport::evaluate`]
+    /// on the stored buffers), so a codec speeds it up only through its
+    /// `compress` and `decompress`.  The benchmark's timing decorator
+    /// (`perfbench/src/layers.rs`) restates this body to time the quality
+    /// pass on its own and must stay in step with it.
     fn evaluate(
         &self,
         dataset: &Dataset,

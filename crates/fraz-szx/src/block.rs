@@ -20,7 +20,7 @@
 use fraz_lossless::bytesio::{ByteReader, ByteWriter};
 use fraz_lossless::CodingError;
 
-use crate::pack::{PackReader, PackWriter};
+use crate::pack::{self, Packer};
 use crate::SzxError;
 
 /// An IEEE-754 scalar the blockwise codec can process (`f32` or `f64`).
@@ -137,33 +137,92 @@ fn kept_width<F: SzxFloat>(abs_max: u64, k: i32) -> u32 {
     F::SIGN_EXP_BITS + m
 }
 
+/// A block's min, max and largest magnitude bit pattern, by compare-select.
+#[derive(Clone, Copy)]
+struct Extremes<F> {
+    mn: F,
+    mx: F,
+    abs_max: u64,
+}
+
+/// Independent lanes of [`Extremes::of`].
+const LANES: usize = 4;
+
+impl<F: SzxFloat> Extremes<F> {
+    /// Scan a non-empty block in [`LANES`] independent lanes, so the scan is
+    /// not bound by one compare-select chain.  Splitting is exact: min and
+    /// max are order-free, and the only freedom, which of `0.0`/`-0.0` wins
+    /// a tie, cannot change the stream: the midrange of any such pair is
+    /// `+0.0` or the same non-zero value, and the bound checks hold alike.
+    /// A NaN lane value sticks only where the block is non-finite, which
+    /// `abs_max` already routes to the full-width path.
+    #[inline(always)]
+    fn of(chunk: &[F]) -> Self {
+        let mut lanes = [Self {
+            mn: chunk[0],
+            mx: chunk[0],
+            abs_max: 0,
+        }; LANES];
+        let groups = chunk.chunks_exact(LANES);
+        for &v in groups.remainder() {
+            lanes[0].note(v);
+        }
+        for group in groups {
+            for (lane, &v) in lanes.iter_mut().zip(group) {
+                lane.note(v);
+            }
+        }
+        let [mut all, rest @ ..] = lanes;
+        for lane in rest {
+            all.note_lane(&lane);
+        }
+        all
+    }
+
+    #[inline(always)]
+    fn note(&mut self, v: F) {
+        if v < self.mn {
+            self.mn = v;
+        }
+        if v > self.mx {
+            self.mx = v;
+        }
+        let a = v.to_bits64() & F::ABS_MASK;
+        if a > self.abs_max {
+            self.abs_max = a;
+        }
+    }
+
+    #[inline(always)]
+    fn note_lane(&mut self, lane: &Self) {
+        if lane.mn < self.mn {
+            self.mn = lane.mn;
+        }
+        if lane.mx > self.mx {
+            self.mx = lane.mx;
+        }
+        if lane.abs_max > self.abs_max {
+            self.abs_max = lane.abs_max;
+        }
+    }
+}
+
 /// Encode `values` in blocks of `block` values under `error_bound`,
 /// appending the serialized section to `out`.
+///
+/// Classify-then-pack: one scan classifies every block and sizes the
+/// payload exactly, then the unpredictable blocks are packed straight into
+/// the output.
 pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &mut ByteWriter) {
     let k = crate::bound_exponent(error_bound);
     let n_blocks = values.len().div_ceil(block);
     let mut flags = vec![0u8; n_blocks.div_ceil(8)];
     let mut widths: Vec<u8> = Vec::with_capacity(n_blocks);
     let mut constants = ByteWriter::with_capacity(256);
-    let mut packer =
-        PackWriter::with_bit_capacity(values.len().saturating_mul(F::WIDTH as usize) / 2);
+    let mut packed_bits = 0usize;
 
     for (bi, chunk) in values.chunks(block).enumerate() {
-        let mut mn = chunk[0];
-        let mut mx = chunk[0];
-        let mut abs_max = 0u64;
-        for &v in chunk {
-            if v < mn {
-                mn = v;
-            }
-            if v > mx {
-                mx = v;
-            }
-            let a = v.to_bits64() & F::ABS_MASK;
-            if a > abs_max {
-                abs_max = a;
-            }
-        }
+        let Extremes { mn, mx, abs_max } = Extremes::of(chunk);
 
         // Constant classification: only all-finite blocks qualify (NaN slips
         // through `<`-based min/max), and the midrange must verifiably sit
@@ -182,10 +241,7 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
 
         let w = kept_width::<F>(abs_max, k);
         widths.push(w as u8);
-        let drop = F::WIDTH - w;
-        for &v in chunk {
-            packer.push(v.to_bits64() >> drop, w);
-        }
+        packed_bits += chunk.len() * w as usize;
     }
 
     let constant_count = (n_blocks - widths.len()) as u64;
@@ -194,11 +250,20 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
     out.put_bytes(&flags);
     out.put_bytes(&widths);
     out.put_bytes(&constants.into_bytes());
-    let packed_bits = packer.bit_len();
-    let payload = packer.into_bytes();
-    debug_assert_eq!(payload.len(), packed_bits.div_ceil(8));
-    out.put_u64(payload.len() as u64);
-    out.put_bytes(&payload);
+    let payload_len = packed_bits.div_ceil(8);
+    out.put_u64(payload_len as u64);
+
+    let mut packer = Packer::new(out.put_zeroed(payload_len));
+    let unpredictable = values
+        .chunks(block)
+        .enumerate()
+        .filter(|&(bi, _)| flags[bi >> 3] >> (bi & 7) & 1 == 0);
+    for ((_, chunk), &w) in unpredictable.zip(&widths) {
+        let w = w as u32;
+        let drop = F::WIDTH - w;
+        packer.push_all(chunk, w, |v| v.to_bits64() >> drop);
+    }
+    packer.finish();
 }
 
 /// Decode `n` values that were encoded in blocks of `block` values.
@@ -274,32 +339,155 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
     }
     let payload = r.get_bytes(payload_len)?;
 
-    // Everything is length-validated; from here on decode is branch-light.
-    let mut out: Vec<F> = Vec::with_capacity(n);
+    // Everything is length-validated; from here on each block is one run.
+    let mut out = vec![F::from_bits64(0); n];
     let mut creader = ByteReader::new(constants);
-    let mut preader = PackReader::new(payload);
+    let mut bit = 0usize;
     let mut widx = 0usize;
-    for bi in 0..n_blocks {
-        let len = block_len(bi);
+    for (bi, dst) in out.chunks_mut(block).enumerate() {
         if flagged(bi) {
-            let c = F::read_from(&mut creader)?;
-            out.extend(std::iter::repeat(c).take(len));
+            dst.fill(F::read_from(&mut creader)?);
         } else {
             let w = widths[widx] as u32;
             widx += 1;
             let shift = F::WIDTH - w;
-            for _ in 0..len {
-                out.push(F::from_bits64(preader.read(w) << shift));
-            }
+            pack::unpack(payload, bit, w, dst, |v| F::from_bits64(v << shift));
+            bit += dst.len() * w as usize;
         }
     }
-    debug_assert_eq!(preader.bits_consumed() as u128, total_bits);
+    debug_assert_eq!(bit as u128, total_bits);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::tests::reference::PackWriter;
+    use proptest::prelude::*;
+
+    /// The encoder before classify-then-pack: one compare-select chain per
+    /// block and a value-at-a-time packer into a second buffer, kept to pin
+    /// the stream byte for byte.
+    fn reference_encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        let k = crate::bound_exponent(error_bound);
+        let n_blocks = values.len().div_ceil(block);
+        let mut flags = vec![0u8; n_blocks.div_ceil(8)];
+        let mut widths: Vec<u8> = Vec::with_capacity(n_blocks);
+        let mut constants = ByteWriter::with_capacity(256);
+        let mut packer = PackWriter::new();
+        let mut packed_bits = 0usize;
+        for (bi, chunk) in values.chunks(block).enumerate() {
+            let mut mn = chunk[0];
+            let mut mx = chunk[0];
+            let mut abs_max = 0u64;
+            for &v in chunk {
+                if v < mn {
+                    mn = v;
+                }
+                if v > mx {
+                    mx = v;
+                }
+                let a = v.to_bits64() & F::ABS_MASK;
+                if a > abs_max {
+                    abs_max = a;
+                }
+            }
+            if abs_max < F::EXP_MASK {
+                let mid = F::midrange(mn, mx);
+                if mx.to_f64() - mid.to_f64() <= error_bound
+                    && mid.to_f64() - mn.to_f64() <= error_bound
+                {
+                    flags[bi >> 3] |= 1 << (bi & 7);
+                    mid.write_to(&mut constants);
+                    continue;
+                }
+            }
+            let w = kept_width::<F>(abs_max, k);
+            widths.push(w as u8);
+            let drop = F::WIDTH - w;
+            for &v in chunk {
+                packer.push(v.to_bits64() >> drop, w);
+                packed_bits += w as usize;
+            }
+        }
+        let constant_count = (n_blocks - widths.len()) as u64;
+        out.put_u64(n_blocks as u64);
+        out.put_u64(constant_count);
+        out.put_bytes(&flags);
+        out.put_bytes(&widths);
+        out.put_bytes(&constants.into_bytes());
+        let payload = packer.into_bytes();
+        assert_eq!(payload.len(), packed_bits.div_ceil(8));
+        out.put_u64(payload.len() as u64);
+        out.put_bytes(&payload);
+        out.into_bytes()
+    }
+
+    /// Values of one regime; `pick` draws from a small set so blocks mix
+    /// constant runs, signed zeros, subnormals, NaN and ±∞ with noise.
+    fn regime_values(regime: u8, n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        (0..n)
+            .map(|i| {
+                let unit = next() as f64 / (1u64 << 53) as f64 - 0.5;
+                match regime {
+                    0 => (i as f64 * 0.05).sin() * 3e3 + unit * 1e-2,
+                    1 => match next() % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1e-310,
+                        3 => -1e-42,
+                        _ => 2.5,
+                    },
+                    2 => match next() % 32 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        _ => unit * 1e5,
+                    },
+                    _ => {
+                        if (i / 50) % 2 == 0 {
+                            7.0
+                        } else {
+                            unit * 1e30
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    fn encoded<F: SzxFloat>(values: &[F], block: usize, error_bound: f64) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        encode(values, block, error_bound, &mut out);
+        out.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encode_is_byte_identical_to_the_reference(
+            regime in 0u8..4,
+            n in 1usize..700,
+            block in prop_oneof![Just(1usize), Just(3), Just(8), Just(64), Just(128), Just(130)],
+            bound_exp in -40i32..12,
+            seed in any::<u64>(),
+        ) {
+            let values = regime_values(regime, n, seed);
+            let bound = 2f64.powi(bound_exp) * 1.5;
+            prop_assert_eq!(encoded(&values, block, bound), reference_encode(&values, block, bound));
+            let narrow: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+            prop_assert_eq!(encoded(&narrow, block, bound), reference_encode(&narrow, block, bound));
+        }
+    }
 
     #[test]
     fn kept_width_tracks_block_exponent() {

@@ -292,6 +292,10 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
         }
         axes.push(d);
     }
+    let n = axes
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| ZfpError::Corrupt(format!("field size {axes:?} overflows usize")))?;
     let dims = Dims::new(&axes);
     let timestep = r.get_u64()? as usize;
     let application = r.get_str()?;
@@ -303,9 +307,18 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
         .map_err(|e| ZfpError::Corrupt(format!("invalid header parameters: {e}")))?;
 
     let (dims3, block_dims) = pad_dims(&dims);
+    // Every block costs at least its one "nonzero" bit, so a header that
+    // claims more blocks than the payload has bits is corrupt.  Checked
+    // before anything proportional to the field is allocated.
+    let blocks: usize = dims3.iter().map(|d| d.div_ceil(BLOCK_EDGE)).product();
+    let payload_bits = r.rest().len().saturating_mul(8);
+    if blocks > payload_bits {
+        return Err(ZfpError::Corrupt(format!(
+            "{blocks} blocks cannot fit in a {payload_bits}-bit payload"
+        )));
+    }
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(&mode, block_dims);
-    let n = dims.len();
     let mut values = vec![0.0f64; n];
     let mut bits = BitReader::new(r.rest());
 
@@ -521,6 +534,34 @@ mod tests {
         assert!(decompress(&bad).is_err());
         assert!(decompress(&packed[..10]).is_err());
         assert!(decompress(&[]).is_err());
+    }
+
+    #[test]
+    fn inflated_axes_are_rejected_before_allocating() {
+        // magic u32 | version u8 | dtype u8 | ndims u8 | axes u64...
+        const OFF_AXES: usize = 7;
+        let original = wave(Dims::d3(8, 8, 8), 1.0);
+        for config in [ZfpConfig::accuracy(1e-3), ZfpConfig::rate(8.0)] {
+            let packed = compress(&original, &config).unwrap();
+            for axis in 0..3 {
+                for claim in [1u64 << 20, 1u64 << 40] {
+                    let mut bad = packed.clone();
+                    let at = OFF_AXES + 8 * axis;
+                    bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                    assert!(
+                        matches!(decompress(&bad), Err(ZfpError::Corrupt(_))),
+                        "axis {axis} patched to {claim} decoded"
+                    );
+                }
+            }
+            // Every axis at 2^40: the point count overflows usize.
+            let mut bad = packed.clone();
+            for axis in 0..3 {
+                let at = OFF_AXES + 8 * axis;
+                bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            }
+            assert!(matches!(decompress(&bad), Err(ZfpError::Corrupt(_))));
+        }
     }
 
     #[test]
