@@ -9,7 +9,10 @@
 //! runtime.  A fixed-PSNR search also decompresses and measures quality at
 //! every iteration, on store-sized chunks, so the `*/szx_chunk` rows and the
 //! `quality` group time those three steps the way a chunked PSNR archive
-//! runs them: the field cut into 8×24×24 chunks, one call per chunk.  `FRAZ_BENCH_SMOKE=1` drops to one timed sample per benchmark;
+//! runs them: the field cut into 8×24×24 chunks, one call per chunk.  The
+//! `evaluate` group times one search evaluation on a field prepared once
+//! (`Compressor::prepare`), as the searches call the codec.
+//! `FRAZ_BENCH_SMOKE=1` drops to one timed sample per benchmark;
 //! CI combines it with `FRAZ_BENCH_RECORD_DIR` to guard the committed
 //! `baselines/codec_throughput.jsonl` rows against large regressions.
 
@@ -119,6 +122,21 @@ fn codec_benchmarks(c: &mut Criterion) {
         });
     });
     group.finish();
+
+    // One ratio-search evaluation the way the searches run it: SZ's block
+    // plan is built once per field (`prepare`, outside the timed loop) and
+    // each evaluation pays only for the bound-dependent stages.  Read next
+    // to `compress/sz`, which pays for the plan on every call.
+    let mut group = c.benchmark_group("evaluate");
+    group.throughput(Throughput::Bytes(dataset.byte_size() as u64));
+    group.sample_size(sample_size());
+    let sz = registry::build_default("sz").unwrap();
+    let prepared = sz.prepare(&dataset);
+    group.bench_function("sz_prepared", |b| {
+        b.iter(|| prepared.evaluate(bound, false).unwrap());
+    });
+    group.finish();
+    drop(prepared);
 
     let mut group = c.benchmark_group("decompress");
     group.throughput(Throughput::Bytes(dataset.byte_size() as u64));

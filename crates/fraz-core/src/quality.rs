@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor};
+use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor, PreparedField};
 
 use crate::cancel::CancelToken;
 use crate::hint::{BoundPredictor, HintQuery, HintReport, HintSource, HintTarget, SearchHint};
@@ -188,12 +188,7 @@ impl FixedQualitySearch {
     /// [`analytic_hint`](Self::analytic_hint)) instead of the log-spaced
     /// sweep.
     pub fn run(&self, dataset: &Dataset) -> QualitySearchOutcome {
-        let analytic = if self.config.analytic_seed {
-            self.analytic_hint(dataset)
-        } else {
-            None
-        };
-        self.run_with_hint(dataset, analytic.as_ref())
+        self.run_prepared(&*self.compressor.prepare(dataset), None)
     }
 
     /// Ask `predictor` for a seed (falling back to the analytic model when
@@ -204,9 +199,23 @@ impl FixedQualitySearch {
         dataset: &Dataset,
         predictor: &dyn BoundPredictor,
     ) -> QualitySearchOutcome {
+        self.run_prepared(&*self.compressor.prepare(dataset), Some(predictor))
+    }
+
+    /// Run on a field the caller prepared with this search's compressor
+    /// ([`Compressor::prepare`]), so the caller can compress the answer
+    /// from the same preparation.  With a `predictor` this is
+    /// [`run_with_predictor`](Self::run_with_predictor), without one
+    /// [`run`](Self::run).
+    pub fn run_prepared(
+        &self,
+        field: &dyn PreparedField,
+        predictor: Option<&dyn BoundPredictor>,
+    ) -> QualitySearchOutcome {
+        let dataset = field.dataset();
         let query = self.hint_query(dataset);
         let hint = predictor
-            .predict(&query)
+            .and_then(|p| p.predict(&query))
             .filter(SearchHint::is_valid)
             .or_else(|| {
                 if self.config.analytic_seed {
@@ -215,8 +224,10 @@ impl FixedQualitySearch {
                     None
                 }
             });
-        let outcome = self.run_with_hint(dataset, hint.as_ref());
-        predictor.observe(&query, outcome.error_bound, outcome.satisfiable);
+        let outcome = self.search(field, hint.as_ref());
+        if let Some(predictor) = predictor {
+            predictor.observe(&query, outcome.error_bound, outcome.satisfiable);
+        }
         outcome
     }
 
@@ -289,7 +300,14 @@ impl FixedQualitySearch {
         dataset: &Dataset,
         hint: Option<&SearchHint>,
     ) -> QualitySearchOutcome {
+        self.search(&*self.compressor.prepare(dataset), hint)
+    }
+
+    /// [`run_with_hint`](Self::run_with_hint) on a prepared field: every
+    /// compress + measure round goes through `field`.
+    fn search(&self, field: &dyn PreparedField, hint: Option<&SearchHint>) -> QualitySearchOutcome {
         let start = Instant::now();
+        let dataset = field.dataset();
         let (mut lower, mut upper) = self.compressor.bound_range(dataset);
         if let Some(u) = self.config.max_error_bound {
             if u > lower {
@@ -336,7 +354,7 @@ impl FixedQualitySearch {
             }
             let bound = from_x(x).clamp(lower, upper);
             *evaluations += 1;
-            match self.compressor.evaluate(dataset, bound, true) {
+            match field.evaluate(bound, true) {
                 Ok(outcome) => {
                     let quality = outcome.quality.as_ref().expect("quality requested");
                     let ok = self.config.metric.is_satisfied(quality);
@@ -475,7 +493,7 @@ impl FixedQualitySearch {
                             }
                             sweep_ran.fetch_add(1, Ordering::Relaxed);
                             let bound = from_x(x).clamp(lower, upper);
-                            if let Ok(outcome) = self.compressor.evaluate(dataset, bound, true) {
+                            if let Ok(outcome) = field.evaluate(bound, true) {
                                 let quality = outcome.quality.as_ref().expect("quality requested");
                                 let ok = self.config.metric.is_satisfied(quality);
                                 *slot = Some((bound, ok, outcome));
@@ -548,18 +566,15 @@ impl FixedQualitySearch {
             None => {
                 // Nothing satisfied the constraint: fall back to the
                 // smallest bound (highest fidelity the compressor offers).
-                let fallback =
-                    self.compressor
-                        .evaluate(dataset, lower, true)
-                        .unwrap_or(CompressionOutcome {
-                            compressor: self.compressor.name().to_string(),
-                            error_bound: lower,
-                            compression_ratio: 0.0,
-                            bit_rate: 0.0,
-                            compressed_bytes: 0,
-                            original_bytes: dataset.byte_size(),
-                            quality: None,
-                        });
+                let fallback = field.evaluate(lower, true).unwrap_or(CompressionOutcome {
+                    compressor: self.compressor.name().to_string(),
+                    error_bound: lower,
+                    compression_ratio: 0.0,
+                    bit_rate: 0.0,
+                    compressed_bytes: 0,
+                    original_bytes: dataset.byte_size(),
+                    quality: None,
+                });
                 QualitySearchOutcome {
                     error_bound: lower,
                     best: fallback,

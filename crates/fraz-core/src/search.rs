@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::{CompressionOutcome, Compressor};
+use fraz_pressio::{CompressionOutcome, Compressor, PreparedField};
 
 use crate::cancel::CancelToken;
 use crate::hint::{BoundPredictor, HintQuery, HintReport, HintSource, HintTarget, SearchHint};
@@ -282,9 +282,25 @@ impl FixedRatioSearch {
         dataset: &Dataset,
         predictor: &dyn BoundPredictor,
     ) -> SearchOutcome {
-        let query = self.hint_query(dataset);
+        self.run_prepared(&*self.compressor.prepare(dataset), Some(predictor))
+    }
+
+    /// Run on a field the caller prepared with this search's compressor
+    /// ([`Compressor::prepare`]), so the caller can compress the answer
+    /// from the same preparation.  With a `predictor` this is
+    /// [`run_with_predictor`](Self::run_with_predictor), without one
+    /// [`run`](Self::run).
+    pub fn run_prepared(
+        &self,
+        field: &dyn PreparedField,
+        predictor: Option<&dyn BoundPredictor>,
+    ) -> SearchOutcome {
+        let Some(predictor) = predictor else {
+            return self.search(field, None);
+        };
+        let query = self.hint_query(field.dataset());
         let hint = predictor.predict(&query);
-        let outcome = self.run_with_hint(dataset, hint.as_ref());
+        let outcome = self.search(field, hint.as_ref());
         predictor.observe(&query, outcome.error_bound, outcome.feasible);
         outcome
     }
@@ -293,7 +309,15 @@ impl FixedRatioSearch {
     /// region-parallel training when it misses (narrowed to the hint's
     /// bracket, if it carries one).
     pub fn run_with_hint(&self, dataset: &Dataset, hint: Option<&SearchHint>) -> SearchOutcome {
+        self.search(&*self.compressor.prepare(dataset), hint)
+    }
+
+    /// [`run_with_hint`](Self::run_with_hint) on a prepared field: every
+    /// evaluation (probe, regions, fallback, final quality pass) goes
+    /// through `field`.
+    fn search(&self, field: &dyn PreparedField, hint: Option<&SearchHint>) -> SearchOutcome {
         let start = Instant::now();
+        let dataset = field.dataset();
         let loss = self.config.loss();
 
         // Step 1 of Algorithm 1: probe the hint.  When the final quality
@@ -303,9 +327,7 @@ impl FixedRatioSearch {
         let mut hint_report: Option<HintReport> = None;
         let token_fired = |this: &Self| this.cancel.as_ref().is_some_and(|t| t.is_cancelled());
         if let Some(h) = hint.filter(|h| h.is_valid() && !token_fired(self)) {
-            let probe =
-                self.compressor
-                    .evaluate(dataset, h.bound, self.config.measure_final_quality);
+            let probe = field.evaluate(h.bound, self.config.measure_final_quality);
             let hit = probe
                 .as_ref()
                 .is_ok_and(|o| loss.is_acceptable(o.compression_ratio));
@@ -365,7 +387,7 @@ impl FixedRatioSearch {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
         if workers == 1 {
-            self.run_region_queue(dataset, &loss, &regions_desc, &next, &cancel, &mut slots[0]);
+            self.run_region_queue(field, &loss, &regions_desc, &next, &cancel, &mut slots[0]);
         } else {
             let pool: &Pool = match &self.pool {
                 Some(pool) => pool,
@@ -378,7 +400,7 @@ impl FixedRatioSearch {
                 let regions_desc = &regions_desc;
                 for slot in slots.iter_mut() {
                     scope.spawn(move || {
-                        self.run_region_queue(dataset, loss, regions_desc, next, cancel, slot)
+                        self.run_region_queue(field, loss, regions_desc, next, cancel, slot)
                     });
                 }
             });
@@ -409,8 +431,8 @@ impl FixedRatioSearch {
             Some(m) => m,
             None => {
                 evaluations += 1;
-                self.compressor
-                    .evaluate(dataset, error_bound, false)
+                field
+                    .evaluate(error_bound, false)
                     .unwrap_or(CompressionOutcome {
                         compressor: self.compressor.name().to_string(),
                         error_bound,
@@ -428,7 +450,7 @@ impl FixedRatioSearch {
         let best = if deadline_hit {
             measured
         } else {
-            self.finalize(dataset, error_bound, measured)
+            self.finalize(field, error_bound, measured)
         };
         SearchOutcome {
             error_bound,
@@ -448,7 +470,7 @@ impl FixedRatioSearch {
     /// early-termination flag (Algorithm 2, lines 9-14).
     fn run_region_queue(
         &self,
-        dataset: &Dataset,
+        field: &dyn PreparedField,
         loss: &RatioLoss,
         regions: &[Region],
         next: &AtomicUsize,
@@ -468,7 +490,7 @@ impl FixedRatioSearch {
             let Some(region) = regions.get(index) else {
                 break;
             };
-            let outcome = self.search_region(dataset, loss, region.clone(), cancel);
+            let outcome = self.search_region(field, loss, *region, cancel);
             let acceptable = loss.is_acceptable(outcome.compression_ratio);
             out.push(outcome);
             if acceptable {
@@ -484,7 +506,7 @@ impl FixedRatioSearch {
     /// `train_with_cutoff`).
     fn search_region(
         &self,
-        dataset: &Dataset,
+        field: &dyn PreparedField,
         loss: &RatioLoss,
         region: Region,
         cancel: &AtomicBool,
@@ -501,7 +523,7 @@ impl FixedRatioSearch {
                 cancel.store(true, Ordering::Relaxed);
                 return (loss.gamma, 0.0);
             }
-            match self.compressor.evaluate(dataset, e, false) {
+            match field.evaluate(e, false) {
                 Ok(outcome) => {
                     let l = loss.loss(outcome.compression_ratio);
                     if best_seen.as_ref().is_none_or(|(seen, _)| l < *seen) {
@@ -543,16 +565,14 @@ impl FixedRatioSearch {
     /// Optionally re-measure the chosen bound with full quality metrics.
     fn finalize(
         &self,
-        dataset: &Dataset,
+        field: &dyn PreparedField,
         error_bound: f64,
         fallback: CompressionOutcome,
     ) -> CompressionOutcome {
         if !self.config.measure_final_quality {
             return fallback;
         }
-        self.compressor
-            .evaluate(dataset, error_bound, true)
-            .unwrap_or(fallback)
+        field.evaluate(error_bound, true).unwrap_or(fallback)
     }
 }
 

@@ -23,6 +23,8 @@ use crate::descriptor::{BoundKind, CodecDescriptor, PsnrBoundModel};
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
+#[cfg(feature = "sz")]
+use crate::{evaluation, CompressionOutcome, PreparedField, Unprepared};
 use crate::{Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
@@ -114,17 +116,77 @@ impl Compressor for SzBackend {
         range_based_bounds(dataset)
     }
     fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        let config = SzConfig {
-            error_bound,
-            ..self.config.clone()
-        };
-        fraz_sz::compress(dataset, &config).map_err(|e| match e {
-            fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        })
+        fraz_sz::compress(dataset, &self.config_at(error_bound)).map_err(sz_error)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
         fraz_sz::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
+    }
+    /// Builds SZ's block plan once ([`fraz_sz::prepare`]); each bound then
+    /// pays only for quantization and the lossless stages.
+    fn prepare<'a>(&'a self, dataset: &'a Dataset) -> Box<dyn PreparedField + 'a> {
+        match fraz_sz::prepare(dataset, self.config.block_size) {
+            Ok(field) => Box::new(SzField {
+                backend: self,
+                field,
+            }),
+            // No plan for this configuration: every call reports
+            // `compress`'s own error.
+            Err(_) => Box::new(Unprepared {
+                compressor: self,
+                dataset,
+            }),
+        }
+    }
+}
+
+#[cfg(feature = "sz")]
+impl SzBackend {
+    fn config_at(&self, error_bound: f64) -> SzConfig {
+        SzConfig {
+            error_bound,
+            ..self.config.clone()
+        }
+    }
+}
+
+#[cfg(feature = "sz")]
+fn sz_error(e: fraz_sz::SzError) -> PressioError {
+    match e {
+        fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+        other => PressioError::Codec(other.to_string()),
+    }
+}
+
+/// A dataset with SZ's block plan built, for [`SzBackend::prepare`].
+#[cfg(feature = "sz")]
+struct SzField<'a> {
+    backend: &'a SzBackend,
+    field: fraz_sz::Prepared<'a>,
+}
+
+#[cfg(feature = "sz")]
+impl PreparedField for SzField<'_> {
+    fn dataset(&self) -> &Dataset {
+        self.field.dataset()
+    }
+    fn compress(&self, error_bound: f64) -> Result<Vec<u8>, PressioError> {
+        self.field
+            .compress(&self.backend.config_at(error_bound))
+            .map_err(sz_error)
+    }
+    fn evaluate(
+        &self,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        let compressed = self.compress(error_bound)?;
+        evaluation(
+            self.backend,
+            self.dataset(),
+            error_bound,
+            measure_quality,
+            compressed,
+        )
     }
 }
 

@@ -24,7 +24,12 @@
 //!   `"szx"`) that external codecs can join at runtime,
 //! * [`CompressionOutcome`] / [`Compressor::evaluate`] — the
 //!   compress-measure-decompress convenience FRaZ's loss function and the
-//!   experiment harness are built on.
+//!   experiment harness are built on,
+//! * [`PreparedField`] / [`Compressor::prepare`] — a dataset prepared once
+//!   for evaluation at many bounds, which is how the searches call a codec:
+//!   a backend that can hoist bound-independent work out of `compress`
+//!   (SZ's block plan) overrides `prepare`; every other backend is
+//!   evaluated through `Compressor::evaluate` exactly as before.
 
 pub mod backends;
 pub mod descriptor;
@@ -117,9 +122,10 @@ pub trait Compressor: Send + Sync {
     /// true, also decompress and attach the full [`QualityReport`].
     ///
     /// Backends must not override this: it is the one definition of an
-    /// evaluation (compress, then decompress and [`QualityReport::evaluate`]
-    /// on the stored buffers), so a codec speeds it up only through its
-    /// `compress` and `decompress`.  The benchmark's timing decorator
+    /// evaluation ([`evaluation`]: compress, then decompress and
+    /// [`QualityReport::evaluate`] on the stored buffers), so a codec speeds
+    /// it up only through its `compress`, `decompress` and
+    /// [`prepare`](Self::prepare).  The benchmark's timing decorator
     /// (`perfbench/src/layers.rs`) restates this body to time the quality
     /// pass on its own and must stay in step with it.
     fn evaluate(
@@ -129,30 +135,113 @@ pub trait Compressor: Send + Sync {
         measure_quality: bool,
     ) -> Result<CompressionOutcome, PressioError> {
         let compressed = self.compress(dataset, error_bound)?;
-        let original_bytes = dataset.byte_size();
-        let compressed_bytes = compressed.len();
-        let quality = if measure_quality {
-            let restored = self.decompress(&compressed)?;
-            Some(QualityReport::evaluate(
-                dataset,
-                &restored,
-                compressed_bytes,
-            ))
-        } else {
-            None
-        };
-        Ok(CompressionOutcome {
-            compressor: self.name().to_string(),
-            error_bound,
-            compression_ratio: fraz_metrics::ratio::compression_ratio(
-                original_bytes,
-                compressed_bytes,
-            ),
-            bit_rate: fraz_metrics::ratio::bit_rate(compressed_bytes, dataset.len()),
-            compressed_bytes,
-            original_bytes,
-            quality,
+        evaluation(self, dataset, error_bound, measure_quality, compressed)
+    }
+
+    /// Prepare `dataset` for compression and evaluation at many bounds.
+    ///
+    /// FRaZ compresses one field again and again with only the bound
+    /// changing, so the searches and the store writer prepare each field
+    /// (or chunk) once and evaluate the [`PreparedField`].  The contract:
+    ///
+    /// * the prepared state depends on the dataset and the backend's
+    ///   options only, never on a bound;
+    /// * [`PreparedField::compress`] is byte-identical to
+    ///   [`compress`](Self::compress) at every bound, errors included, and
+    ///   [`PreparedField::evaluate`] builds its outcome with the same
+    ///   [`evaluation`] as [`evaluate`](Self::evaluate), so the two paths
+    ///   give bit-identical outcomes.
+    ///
+    /// The default prepares nothing: its field calls
+    /// [`compress`](Self::compress) and [`evaluate`](Self::evaluate), so a
+    /// backend (or decorator) that does not override this is called exactly
+    /// as it was before preparation existed.  A decorator that wraps another
+    /// compressor and does not forward `prepare` therefore runs the wrapped
+    /// codec's unprepared path.
+    fn prepare<'a>(&'a self, dataset: &'a Dataset) -> Box<dyn PreparedField + 'a> {
+        Box::new(Unprepared {
+            compressor: self,
+            dataset,
         })
+    }
+}
+
+/// A dataset prepared by one compressor (see [`Compressor::prepare`]):
+/// compresses and evaluates it at any bound.
+pub trait PreparedField: Send + Sync {
+    /// The dataset this field was prepared from.
+    fn dataset(&self) -> &Dataset;
+
+    /// Compress the dataset under `error_bound`; byte-identical to the
+    /// compressor's own [`Compressor::compress`].
+    fn compress(&self, error_bound: f64) -> Result<Vec<u8>, PressioError>;
+
+    /// One evaluation at `error_bound`; bit-identical to
+    /// [`Compressor::evaluate`].
+    fn evaluate(
+        &self,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError>;
+}
+
+/// The one definition of an evaluation, shared by [`Compressor::evaluate`]
+/// and every [`PreparedField`]: the ratio and bit rate of `compressed`
+/// (the stream `codec` produced for `dataset` at `error_bound`) and, when
+/// `measure_quality` is set, the [`QualityReport`] of its decompression.
+pub fn evaluation<C: Compressor + ?Sized>(
+    codec: &C,
+    dataset: &Dataset,
+    error_bound: f64,
+    measure_quality: bool,
+    compressed: Vec<u8>,
+) -> Result<CompressionOutcome, PressioError> {
+    let original_bytes = dataset.byte_size();
+    let compressed_bytes = compressed.len();
+    let quality = if measure_quality {
+        let restored = codec.decompress(&compressed)?;
+        Some(QualityReport::evaluate(
+            dataset,
+            &restored,
+            compressed_bytes,
+        ))
+    } else {
+        None
+    };
+    Ok(CompressionOutcome {
+        compressor: codec.name().to_string(),
+        error_bound,
+        compression_ratio: fraz_metrics::ratio::compression_ratio(original_bytes, compressed_bytes),
+        bit_rate: fraz_metrics::ratio::bit_rate(compressed_bytes, dataset.len()),
+        compressed_bytes,
+        original_bytes,
+        quality,
+    })
+}
+
+/// The default [`Compressor::prepare`]: nothing prepared, every call goes
+/// to the compressor itself.
+struct Unprepared<'a, C: ?Sized> {
+    compressor: &'a C,
+    dataset: &'a Dataset,
+}
+
+impl<C: Compressor + ?Sized> PreparedField for Unprepared<'_, C> {
+    fn dataset(&self) -> &Dataset {
+        self.dataset
+    }
+
+    fn compress(&self, error_bound: f64) -> Result<Vec<u8>, PressioError> {
+        self.compressor.compress(self.dataset, error_bound)
+    }
+
+    fn evaluate(
+        &self,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        self.compressor
+            .evaluate(self.dataset, error_bound, measure_quality)
     }
 }
 

@@ -38,8 +38,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fraz_core::{
-    CancelToken, FixedQualitySearch, FixedRatioSearch, QualityMetric, QualitySearchConfig,
-    SearchConfig,
+    BoundPredictor, CancelToken, FixedQualitySearch, FixedRatioSearch, QualityMetric,
+    QualitySearchConfig, SearchConfig,
 };
 use fraz_data::Dataset;
 use fraz_pool::Pool;
@@ -412,12 +412,14 @@ impl Inner {
         )
         .with_pool(Arc::clone(&self.pool))
         .with_cancel(token);
-        let outcome = match &self.tune {
-            Some(cache) => {
-                search.run_with_predictor(dataset, &CachePredictor::new(Arc::clone(cache)))
-            }
-            None => search.run(dataset),
-        };
+        // One preparation serves the search and the reply's blob.
+        let field = compressor.prepare(dataset);
+        let cache = self
+            .tune
+            .as_ref()
+            .map(|c| CachePredictor::new(Arc::clone(c)));
+        let outcome =
+            search.run_prepared(&*field, cache.as_ref().map(|p| p as &dyn BoundPredictor));
         self.finish_job(job_id);
         if outcome.deadline_hit {
             return Response::DeadlineExceeded {
@@ -426,7 +428,7 @@ impl Inner {
                 evaluations: outcome.evaluations as u32,
             };
         }
-        match compressor.compress(dataset, outcome.error_bound) {
+        match field.compress(outcome.error_bound) {
             Ok(blob) => Response::Compressed {
                 error_bound: outcome.error_bound,
                 ratio: outcome.best.compression_ratio,

@@ -244,6 +244,8 @@ fn compress_chunk(
             chunk.dims.as_slice()
         )));
     }
+    // One preparation serves the search and the payload at its answer.
+    let field = codec.prepare(chunk);
     let (bound, evaluations, feasible) = match config.target {
         ChunkTarget::FixedBound(bound) => {
             // Clamp into this chunk's valid range: a near-constant chunk can
@@ -266,11 +268,9 @@ fn compress_chunk(
             if let Some(pool) = pool {
                 search = search.with_pool(pool.clone());
             }
-            let outcome = if seeds.ratio.is_empty() {
-                search.run(chunk)
-            } else {
-                search.run_with_predictor(chunk, &seeds.ratio)
-            };
+            let predictor =
+                (!seeds.ratio.is_empty()).then_some(&seeds.ratio as &dyn BoundPredictor);
+            let outcome = search.run_prepared(&*field, predictor);
             (outcome.error_bound, outcome.evaluations, outcome.feasible)
         }
         ChunkTarget::MinPsnr(psnr) => {
@@ -282,10 +282,7 @@ fn compress_chunk(
             if let Some(pool) = pool {
                 search = search.with_pool(pool.clone());
             }
-            let outcome = match &seeds.external {
-                Some(external) => search.run_with_predictor(chunk, external.as_ref()),
-                None => search.run(chunk),
-            };
+            let outcome = search.run_prepared(&*field, seeds.external.as_deref());
             (
                 outcome.error_bound,
                 outcome.evaluations,
@@ -293,8 +290,8 @@ fn compress_chunk(
             )
         }
     };
-    let payload = codec
-        .compress(chunk, bound)
+    let payload = field
+        .compress(bound)
         .map_err(|e| StoreError::Codec(format!("chunk compress failed: {e}")))?;
     Ok(ChunkOut {
         payload,

@@ -18,9 +18,14 @@
 //!    produces the non-monotonic ratio-vs-bound behaviour the paper
 //!    documents in Fig. 3.  `fraz_lossless::compress` holds one reusable
 //!    [`fraz_lossless::lzss::LzssEncoder`] per thread, so the fixed-ratio
-//!    search loop — which calls [`compress`] once per candidate bound from
-//!    the shared work-stealing pool — reuses one hash-chain/token scratch
-//!    per pool worker instead of reallocating it every evaluation.
+//!    search loop — which compresses once per candidate bound from the
+//!    shared work-stealing pool — reuses one hash-chain/token scratch per
+//!    pool worker instead of reallocating it every evaluation.
+//!
+//! Stage 1's predictor choice reads only the original values, so it does
+//! not depend on the bound.  [`prepare`] makes that choice once per field
+//! and [`Prepared::compress`] runs stages 2–4 at any bound; [`compress`] is
+//! the two in a row, so both paths write the same bytes.
 //!
 //! The absolute error bound is a hard guarantee:
 //! `max_i |d_i − d'_i| ≤ error_bound` for every input (verified by unit and
@@ -50,11 +55,13 @@
 pub mod pipeline;
 pub mod predict;
 
+use std::borrow::Cow;
+
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::bytesio::{ByteReader, ByteWriter};
 use fraz_lossless::huffman;
 
-use pipeline::{EncodedBlocks, PipelineParams};
+use pipeline::{BlockPlan, EncodedBlocks, PipelineParams};
 
 /// Stream magic ("FSZ1").
 const MAGIC: u32 = 0x4653_5A31;
@@ -93,14 +100,6 @@ impl SzConfig {
         }
     }
 
-    fn block_for(&self, ndims: usize) -> usize {
-        self.block_size.unwrap_or(match ndims {
-            1 => 256,
-            2 => 16,
-            _ => 6,
-        })
-    }
-
     fn validate(&self) -> Result<(), SzError> {
         if !(self.error_bound > 0.0 && self.error_bound.is_finite()) {
             return Err(SzError::InvalidConfig(format!(
@@ -114,13 +113,25 @@ impl SzConfig {
                 self.quant_capacity
             )));
         }
-        if let Some(b) = self.block_size {
-            if b == 0 {
-                return Err(SzError::InvalidConfig("block size must be non-zero".into()));
-            }
-        }
-        Ok(())
+        validate_block(self.block_size)
     }
+}
+
+/// The block edge length for `ndims`-dimensional data: `block_size`, or the
+/// SZ papers' default for that dimensionality.
+fn block_for(block_size: Option<usize>, ndims: usize) -> usize {
+    block_size.unwrap_or(match ndims {
+        1 => 256,
+        2 => 16,
+        _ => 6,
+    })
+}
+
+fn validate_block(block_size: Option<usize>) -> Result<(), SzError> {
+    if block_size == Some(0) {
+        return Err(SzError::InvalidConfig("block size must be non-zero".into()));
+    }
+    Ok(())
 }
 
 /// Errors produced by the SZ-like codec.
@@ -164,70 +175,128 @@ fn pad_dims(dims: &Dims) -> [usize; 3] {
     }
 }
 
-/// Compress a dataset under an absolute error bound.
+/// A dataset prepared for compression at any error bound.
+///
+/// [`prepare`] does the work of a compression that does not depend on the
+/// bound: widening the values to `f64` and choosing each block's predictor
+/// ([`pipeline::plan`]).  [`Prepared::compress`] then runs only the
+/// bound-dependent stages, so a search that compresses one field at many
+/// bounds pays for the plan once.  The output is byte-identical to
+/// [`compress`], which is itself "prepare, then compress".
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    dataset: &'a Dataset,
+    dims3: [usize; 3],
+    values: Cow<'a, [f64]>,
+    plan: BlockPlan,
+}
+
+/// Prepare `dataset` for compression with the given block edge length
+/// (`None` selects the default for its dimensionality, as in
+/// [`SzConfig::block_size`]).
+pub fn prepare(dataset: &Dataset, block_size: Option<usize>) -> Result<Prepared<'_>, SzError> {
+    validate_block(block_size)?;
+    let dims3 = pad_dims(&dataset.dims);
+    let values: Cow<'_, [f64]> = match &dataset.buffer {
+        DataBuffer::F64(v) => Cow::Borrowed(v),
+        DataBuffer::F32(_) => Cow::Owned(dataset.values_f64()),
+    };
+    let plan = pipeline::plan(&values, dims3, block_for(block_size, dataset.dims.ndims()));
+    Ok(Prepared {
+        dataset,
+        dims3,
+        values,
+        plan,
+    })
+}
+
+impl Prepared<'_> {
+    /// The dataset this field was prepared from.
+    pub fn dataset(&self) -> &Dataset {
+        self.dataset
+    }
+
+    /// Compress the prepared dataset under `config`, whose block size must
+    /// resolve to the one the field was prepared with.
+    pub fn compress(&self, config: &SzConfig) -> Result<Vec<u8>, SzError> {
+        config.validate()?;
+        let dataset = self.dataset;
+        let block = block_for(config.block_size, dataset.dims.ndims());
+        if block != self.plan.block_size() {
+            return Err(SzError::InvalidConfig(format!(
+                "field prepared for block size {} cannot compress with block size {block}",
+                self.plan.block_size()
+            )));
+        }
+        let params = PipelineParams {
+            error_bound: config.error_bound,
+            block_size: block,
+            capacity: config.quant_capacity,
+        };
+        let values = &self.values;
+        let dtype = dataset.dtype();
+        let enc = match dtype {
+            DType::F32 => pipeline::encode_planned(values, self.dims3, &self.plan, &params, |v| {
+                v as f32 as f64
+            }),
+            DType::F64 => pipeline::encode_planned(values, self.dims3, &self.plan, &params, |v| v),
+        };
+
+        // ---- header (uncompressed) ----
+        let mut header = ByteWriter::with_capacity(64);
+        header.put_u32(MAGIC);
+        header.put_u8(VERSION);
+        header.put_u8(match dtype {
+            DType::F32 => 0,
+            DType::F64 => 1,
+        });
+        header.put_u8(dataset.dims.ndims() as u8);
+        for &d in dataset.dims.as_slice() {
+            header.put_u64(d as u64);
+        }
+        header.put_u64(dataset.timestep as u64);
+        header.put_str(&dataset.application);
+        header.put_str(&dataset.field);
+        header.put_f64(config.error_bound);
+        header.put_u32(block as u32);
+        header.put_u32(config.quant_capacity);
+
+        // ---- body (dictionary-coded) ----
+        let mut body = ByteWriter::with_capacity(values.len());
+        body.put_u64(enc.regression_flags.len() as u64);
+        let mut flag_bytes = vec![0u8; enc.regression_flags.len().div_ceil(8)];
+        for (i, &flag) in enc.regression_flags.iter().enumerate() {
+            if flag {
+                flag_bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        body.put_bytes(&flag_bytes);
+        body.put_u64(enc.reg_coeffs.len() as u64);
+        for c in &enc.reg_coeffs {
+            for &v in c {
+                body.put_f32(v);
+            }
+        }
+        body.put_section(&huffman::encode_symbols(&enc.quant_codes));
+        body.put_u64(enc.unpredictable.len() as u64);
+        for &v in &enc.unpredictable {
+            match dtype {
+                DType::F32 => body.put_f32(v as f32),
+                DType::F64 => body.put_f64(v),
+            }
+        }
+
+        let mut out = header.into_bytes();
+        out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
+        Ok(out)
+    }
+}
+
+/// Compress a dataset under an absolute error bound: [`prepare`], then
+/// [`Prepared::compress`].
 pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError> {
     config.validate()?;
-    let dims3 = pad_dims(&dataset.dims);
-    let block = config.block_for(dataset.dims.ndims());
-    let params = PipelineParams {
-        error_bound: config.error_bound,
-        block_size: block,
-        capacity: config.quant_capacity,
-    };
-    let values = dataset.values_f64();
-    let dtype = dataset.dtype();
-    let enc = match dtype {
-        DType::F32 => pipeline::encode(&values, dims3, &params, |v| v as f32 as f64),
-        DType::F64 => pipeline::encode(&values, dims3, &params, |v| v),
-    };
-
-    // ---- header (uncompressed) ----
-    let mut header = ByteWriter::with_capacity(64);
-    header.put_u32(MAGIC);
-    header.put_u8(VERSION);
-    header.put_u8(match dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    header.put_u8(dataset.dims.ndims() as u8);
-    for &d in dataset.dims.as_slice() {
-        header.put_u64(d as u64);
-    }
-    header.put_u64(dataset.timestep as u64);
-    header.put_str(&dataset.application);
-    header.put_str(&dataset.field);
-    header.put_f64(config.error_bound);
-    header.put_u32(block as u32);
-    header.put_u32(config.quant_capacity);
-
-    // ---- body (dictionary-coded) ----
-    let mut body = ByteWriter::with_capacity(values.len());
-    body.put_u64(enc.regression_flags.len() as u64);
-    let mut flag_bytes = vec![0u8; (enc.regression_flags.len() + 7) / 8];
-    for (i, &flag) in enc.regression_flags.iter().enumerate() {
-        if flag {
-            flag_bytes[i / 8] |= 1 << (i % 8);
-        }
-    }
-    body.put_bytes(&flag_bytes);
-    body.put_u64(enc.reg_coeffs.len() as u64);
-    for c in &enc.reg_coeffs {
-        for &v in c {
-            body.put_f32(v);
-        }
-    }
-    body.put_section(&huffman::encode_symbols(&enc.quant_codes));
-    body.put_u64(enc.unpredictable.len() as u64);
-    for &v in &enc.unpredictable {
-        match dtype {
-            DType::F32 => body.put_f32(v as f32),
-            DType::F64 => body.put_f64(v),
-        }
-    }
-
-    let mut out = header.into_bytes();
-    out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    Ok(out)
+    prepare(dataset, config.block_size)?.compress(config)
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -464,6 +533,58 @@ mod tests {
         let compressed = compress(&original, &config).unwrap();
         let restored = decompress(&compressed).unwrap();
         assert!(max_error(&original, &restored) <= 1e-4);
+    }
+
+    #[test]
+    fn prepared_field_matches_compress_at_every_bound() {
+        let f32_field = wave_dataset(Dims::d3(9, 10, 11));
+        let values: Vec<f64> = (0..900).map(|i| (i as f64 * 0.02).cos() * 1e3).collect();
+        let f64_field = Dataset::from_f64("test", "wave64", 1, Dims::d2(30, 30), values);
+        for original in [&f32_field, &f64_field] {
+            for block_size in [None, Some(3)] {
+                let field = prepare(original, block_size).unwrap();
+                for eb in [1e-1, 1e-3, 1e-6] {
+                    let config = SzConfig {
+                        error_bound: eb,
+                        block_size,
+                        quant_capacity: 4096,
+                    };
+                    assert_eq!(
+                        field.compress(&config).unwrap(),
+                        compress(original, &config).unwrap(),
+                        "eb={eb} block={block_size:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_field_rejects_another_block_size_and_bad_bounds() {
+        let original = wave_dataset(Dims::d3(8, 8, 8));
+        assert!(matches!(
+            prepare(&original, Some(0)),
+            Err(SzError::InvalidConfig(_))
+        ));
+        let field = prepare(&original, None).unwrap();
+        let other_block = SzConfig {
+            block_size: Some(4),
+            ..Default::default()
+        };
+        assert!(matches!(
+            field.compress(&other_block),
+            Err(SzError::InvalidConfig(_))
+        ));
+        // `Some(6)` resolves to the 3-D default the field was prepared with.
+        let same_block = SzConfig {
+            block_size: Some(6),
+            ..Default::default()
+        };
+        assert!(field.compress(&same_block).is_ok());
+        assert_eq!(
+            field.compress(&SzConfig::with_error_bound(-1.0)),
+            compress(&original, &SzConfig::with_error_bound(-1.0))
+        );
     }
 
     #[test]

@@ -95,38 +95,50 @@ fn choose_regression(
     regression_err < lorenzo_err
 }
 
-/// Run prediction + quantization over the whole grid.
+/// The bound-independent half of [`encode`]: the predictor each block
+/// uses.
 ///
-/// `finalize` rounds a reconstructed value to the precision it will have
-/// after being stored back into the original buffer type (`f32` cast for
-/// single-precision data); the error-bound check is performed on the
-/// finalized value, so the bound holds end-to-end.
-pub fn encode(
-    values: &[f64],
-    dims: Dims3,
-    params: &PipelineParams,
-    finalize: impl Fn(f64) -> f64,
-) -> EncodedBlocks {
-    assert!(params.error_bound > 0.0, "error bound must be positive");
-    assert!(params.block_size > 0, "block size must be positive");
-    assert!(params.capacity >= 4, "quantization capacity too small");
-    let n = values.len();
-    let eb = params.error_bound;
-    let radius = params.radius();
-    let mut out = EncodedBlocks {
-        quant_codes: Vec::with_capacity(n),
-        ..Default::default()
-    };
-    let mut recon = vec![0.0f64; n];
+/// The choice between Lorenzo and the regression plane reads only the
+/// original values, so FRaZ's search, which compresses one field at many
+/// bounds, builds the plan once and runs [`encode_planned`] per bound.
+#[derive(Debug, Clone)]
+pub struct BlockPlan {
+    block_size: usize,
+    /// One entry per block in raster order: the `f32`-rounded plane when
+    /// the block uses regression, `None` when it uses Lorenzo.
+    pub planes: Vec<Option<RegressionPlane>>,
+}
 
-    for origin in block_origins(dims, params.block_size) {
-        let extent = [
-            params.block_size.min(dims[0] - origin[0]),
-            params.block_size.min(dims[1] - origin[1]),
-            params.block_size.min(dims[2] - origin[2]),
-        ];
-        // Fit the regression plane on the original values of the block.
-        let mut points = Vec::with_capacity(extent[0] * extent[1] * extent[2]);
+impl BlockPlan {
+    /// The block edge length the plan was built for.
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
+    /// The plan's choice as [`EncodedBlocks::regression_flags`] records it.
+    pub fn regression_flags(&self) -> Vec<bool> {
+        self.planes.iter().map(Option::is_some).collect()
+    }
+}
+
+/// The extent of the block at `origin`, clipped to the grid.
+fn block_extent(dims: Dims3, block: usize, origin: [usize; 3]) -> [usize; 3] {
+    [
+        block.min(dims[0] - origin[0]),
+        block.min(dims[1] - origin[1]),
+        block.min(dims[2] - origin[2]),
+    ]
+}
+
+/// Choose each block's predictor: fit the regression plane on the block's
+/// original values and keep it where [`choose_regression`] prefers it.
+pub fn plan(values: &[f64], dims: Dims3, block_size: usize) -> BlockPlan {
+    assert!(block_size > 0, "block size must be positive");
+    let mut planes = Vec::new();
+    let mut points = Vec::new();
+    for origin in block_origins(dims, block_size) {
+        let extent = block_extent(dims, block_size, origin);
+        points.clear();
         for dz in 0..extent[0] {
             for dy in 0..extent[1] {
                 for dx in 0..extent[2] {
@@ -137,9 +149,68 @@ pub fn encode(
             }
         }
         let plane = RegressionPlane::fit(&points).quantized();
-        let use_regression = choose_regression(values, dims, origin, extent, &plane);
-        out.regression_flags.push(use_regression);
-        if use_regression {
+        planes.push(choose_regression(values, dims, origin, extent, &plane).then_some(plane));
+    }
+    BlockPlan { block_size, planes }
+}
+
+/// Run prediction + quantization over the whole grid: [`plan`], then
+/// [`encode_planned`].
+pub fn encode(
+    values: &[f64],
+    dims: Dims3,
+    params: &PipelineParams,
+    finalize: impl Fn(f64) -> f64,
+) -> EncodedBlocks {
+    encode_planned(
+        values,
+        dims,
+        &plan(values, dims, params.block_size),
+        params,
+        finalize,
+    )
+}
+
+/// Quantize the whole grid under `params.error_bound`, each block with the
+/// predictor `plan` chose for it.
+///
+/// `finalize` rounds a reconstructed value to the precision it will have
+/// after being stored back into the original buffer type (`f32` cast for
+/// single-precision data); the error-bound check is performed on the
+/// finalized value, so the bound holds end-to-end.
+pub fn encode_planned(
+    values: &[f64],
+    dims: Dims3,
+    plan: &BlockPlan,
+    params: &PipelineParams,
+    finalize: impl Fn(f64) -> f64,
+) -> EncodedBlocks {
+    assert!(params.error_bound > 0.0, "error bound must be positive");
+    assert!(params.block_size > 0, "block size must be positive");
+    assert!(params.capacity >= 4, "quantization capacity too small");
+    assert_eq!(
+        plan.block_size, params.block_size,
+        "plan built for another block size"
+    );
+    let n = values.len();
+    let eb = params.error_bound;
+    let radius = params.radius();
+    let mut out = EncodedBlocks {
+        regression_flags: plan.regression_flags(),
+        quant_codes: Vec::with_capacity(n),
+        ..Default::default()
+    };
+    let mut recon = vec![0.0f64; n];
+
+    let origins = block_origins(dims, params.block_size);
+    assert_eq!(
+        origins.len(),
+        plan.planes.len(),
+        "plan built for another grid"
+    );
+    for (origin, plane) in origins.into_iter().zip(&plan.planes) {
+        let extent = block_extent(dims, params.block_size, origin);
+        if let Some(plane) = plane {
             out.reg_coeffs.push([
                 plane.coeffs[0] as f32,
                 plane.coeffs[1] as f32,
@@ -154,10 +225,9 @@ pub fn encode(
                     let (z, y, x) = (origin[0] + dz, origin[1] + dy, origin[2] + dx);
                     let idx = (z * dims[1] + y) * dims[2] + x;
                     let orig = values[idx];
-                    let pred = if use_regression {
-                        plane.predict(dz, dy, dx)
-                    } else {
-                        lorenzo3(&recon, dims, z, y, x)
+                    let pred = match plane {
+                        Some(plane) => plane.predict(dz, dy, dx),
+                        None => lorenzo3(&recon, dims, z, y, x),
                     };
                     let diff = orig - pred;
                     let code_f = (diff / (2.0 * eb)).round();
@@ -233,11 +303,7 @@ pub fn decode(
     let mut coeff_iter = enc.reg_coeffs.iter();
 
     for origin in block_origins(dims, params.block_size) {
-        let extent = [
-            params.block_size.min(dims[0] - origin[0]),
-            params.block_size.min(dims[1] - origin[1]),
-            params.block_size.min(dims[2] - origin[2]),
-        ];
+        let extent = block_extent(dims, params.block_size, origin);
         let use_regression = *flag_iter.next().ok_or(DecodeError::MissingRegressionData)?;
         let plane = if use_regression {
             let c = coeff_iter
@@ -394,8 +460,10 @@ mod tests {
 
     #[test]
     fn regression_blocks_appear_on_planar_data() {
-        // A strongly linear field should favour the regression predictor in
-        // at least some blocks.
+        // A strongly linear field favours the regression predictor in the
+        // blocks where Lorenzo's zero-extended boundary costs more than the
+        // plane's rounding; the flag vector pins which ones, so a change to
+        // the plan (or to where it is built) shows here.
         let dims = [12, 12, 12];
         let mut values = Vec::new();
         for z in 0..12 {
@@ -405,12 +473,47 @@ mod tests {
                 }
             }
         }
-        let enc = encode(&values, dims, &params(1e-3), |v| v);
-        assert_eq!(enc.regression_flags.len(), 8);
+        let p = params(1e-3);
+        let enc = encode(&values, dims, &p, |v| v);
+        assert_eq!(
+            enc.regression_flags,
+            [true, true, true, false, true, false, false, false]
+        );
+        assert_eq!(
+            plan(&values, dims, 6).regression_flags(),
+            enc.regression_flags
+        );
         assert_eq!(
             enc.reg_coeffs.len(),
             enc.regression_flags.iter().filter(|&&f| f).count()
         );
+        let dec = decode(&enc, dims, &p, |v| v).unwrap();
+        for (i, (&a, &b)) in values.iter().zip(dec.iter()).enumerate() {
+            assert!((a - b).abs() <= 1e-3, "point {i}: |{a} - {b}| > 1e-3");
+        }
+    }
+
+    #[test]
+    fn one_plan_serves_every_bound() {
+        let dims = [7, 11, 13];
+        let values = smooth_grid(dims);
+        let block_plan = plan(&values, dims, 6);
+        for eb in [1e-1, 1e-4, 1e-7] {
+            let planned = encode_planned(&values, dims, &block_plan, &params(eb), |v| v);
+            assert_eq!(
+                planned,
+                encode(&values, dims, &params(eb), |v| v),
+                "eb={eb}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plan built for another block size")]
+    fn plan_for_another_block_size_panics() {
+        let dims = [4, 4, 4];
+        let values = smooth_grid(dims);
+        let _ = encode_planned(&values, dims, &plan(&values, dims, 3), &params(1e-3), |v| v);
     }
 
     #[test]
